@@ -1,9 +1,9 @@
 PYTHON ?= python
 RUN := PYTHONPATH=src $(PYTHON)
 
-.PHONY: test bench bench-smoke bench-json stream-demo parallel-demo \
-        service-demo serving-demo distributed-demo corpus-demo \
-        docs-check lint docstyle
+.PHONY: test bench bench-smoke bench-json perf-smoke stream-demo \
+        parallel-demo service-demo serving-demo distributed-demo \
+        corpus-demo docs-check lint docstyle
 
 test:
 	$(RUN) -m pytest -q
@@ -27,6 +27,20 @@ bench-smoke:
 	$(RUN) benchmarks/bench_serving_load.py --smoke
 	$(RUN) benchmarks/bench_distributed.py --smoke
 	$(RUN) benchmarks/bench_corpus_ingest.py --smoke
+
+# One-second run of every perfbench workload.  run.py exits 0 even
+# when a workload's output checks fail, so the last stdout line (the
+# JSON result) must say correct == true and failed == 0.
+PERF_WORKLOADS := blog-batch dblp-stream serve-http graph-solve
+PERF_CHECK := import json, sys; \
+    r = json.loads(sys.stdin.read().splitlines()[-1]); \
+    print(sys.argv[1], "correct:", r["correct"], "failed:", r["failed"]); \
+    sys.exit(r["correct"] is not True or r["failed"] != 0)
+perf-smoke:
+	set -e; for w in $(PERF_WORKLOADS); do \
+	    $(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 1 \
+	        | tail -n 1 | $(PYTHON) -c '$(PERF_CHECK)' $$w; \
+	done
 
 # The versioned perf trajectory: one BENCH_<area>.json per harness,
 # written at the repo root (CI uploads every BENCH_*.json artifact).

@@ -1,56 +1,26 @@
-"""Aggregation of sorted keyword pairs into co-occurrence triplets.
+"""Aggregation of emitted keyword pairs into co-occurrence counts.
 
 Tokens are generic (interned integer ids on the production path,
 strings wherever callers pass raw keyword sets); both aggregate
-identically — the external sort just compares ints faster and spills
-smaller run records.
+identically.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Tuple
 
 from repro.cooccur.pairs import Pair, Token, emit_pairs
-from repro.extsort import external_sort
-from repro.storage.iostats import IOStats
 
 Triplet = Tuple[Token, Token, int]
-
-
-def aggregate_sorted_pairs(pairs: Iterable[Pair]) -> Iterator[Triplet]:
-    """Collapse a *sorted* pair stream into ``(u, v, count)`` triplets.
-
-    One sequential pass; identical pairs must be adjacent (the
-    post-external-sort property).
-    """
-    for pair, group in groupby(pairs):
-        count = sum(1 for _ in group)
-        yield (pair[0], pair[1], count)
-
-
-def count_pairs_external(keyword_sets: Iterable[FrozenSet[Token]],
-                         max_records: int = 200_000,
-                         directory: Optional[str] = None,
-                         stats: Optional[IOStats] = None
-                         ) -> Iterator[Triplet]:
-    """Emit, external-sort, and aggregate pairs with bounded memory.
-
-    This is the full Section 3 counting pipeline in streaming form.
-    """
-    sorted_pairs = external_sort(emit_pairs(keyword_sets),
-                                 max_records=max_records,
-                                 directory=directory, stats=stats)
-    return aggregate_sorted_pairs(sorted_pairs)
 
 
 def count_pairs_in_memory(keyword_sets: Iterable[FrozenSet[Token]]
                           ) -> Dict[Pair, int]:
     """Hash-aggregate the pair stream entirely in memory.
 
-    Functionally identical to :func:`count_pairs_external`; used when
-    the interval's pair multiset fits in RAM, and as the differential
-    oracle in tests.
+    The multiplicity of ``(u, v)`` is ``A(u, v)`` and that of
+    ``(u, u)`` is ``A(u)``: the counts the paper obtains by sorting
+    its pair file and scanning it once.
     """
     counts: Dict[Pair, int] = {}
     for pair in emit_pairs(keyword_sets):

@@ -14,21 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
-from repro.cooccur.aggregate import (
-    Token,
-    Triplet,
-    count_pairs_external,
-    count_pairs_in_memory,
-)
+from repro.cooccur.aggregate import Token, Triplet, count_pairs_in_memory
 from repro.graph.adjacency import Graph
 from repro.stats import (
     CHI2_CRITICAL_95,
     chi_square,
     correlation_coefficient,
 )
-from repro.storage.iostats import IOStats
 
 RHO_DEFAULT = 0.2
+# Pairs where either keyword appears in fewer documents are dropped
+# before the chi-square test (see KeywordGraph.prune).
+MIN_SUPPORT = 5
 
 
 @dataclass
@@ -74,30 +71,18 @@ class KeywordGraph:
         return graph
 
     @classmethod
-    def from_keyword_sets(cls, keyword_sets: Iterable[FrozenSet[Token]],
-                          external: bool = False,
-                          directory: Optional[str] = None,
-                          max_records: int = 200_000,
-                          stats: Optional[IOStats] = None) -> "KeywordGraph":
-        """Build from per-document keyword sets.
-
-        With ``external=True`` the counting runs through the
-        sort-based, bounded-memory pipeline of Section 3; otherwise a
-        hash aggregation is used.  Both produce identical graphs.
-        """
+    def from_keyword_sets(cls, keyword_sets: Iterable[FrozenSet[Token]]
+                          ) -> "KeywordGraph":
+        """Build from per-document keyword sets (hash-aggregated in
+        memory)."""
         materialized = list(keyword_sets)
         n = len(materialized)
         if n == 0:
             raise ValueError("cannot build a keyword graph from an "
                              "empty document collection")
-        if external:
-            triplets: Iterable[Triplet] = count_pairs_external(
-                materialized, max_records=max_records,
-                directory=directory, stats=stats)
-        else:
-            counts = count_pairs_in_memory(materialized)
-            triplets = ((u, v, c) for (u, v), c in counts.items())
-        return cls.from_triplets(triplets, num_documents=n)
+        counts = count_pairs_in_memory(materialized)
+        return cls.from_triplets(
+            ((u, v, c) for (u, v), c in counts.items()), num_documents=n)
 
     # ------------------------------------------------------------------
     # Counts and statistics
@@ -149,23 +134,22 @@ class KeywordGraph:
     # ------------------------------------------------------------------
 
     def prune(self, rho_threshold: float = RHO_DEFAULT,
-              chi2_critical: float = CHI2_CRITICAL_95,
-              min_support: int = 5,
               report: Optional[PruneReport] = None) -> Graph:
         """Return G': the ρ-weighted graph of strongly correlated pairs.
 
-        An edge survives when χ² > *chi2_critical* **and**
-        ρ > *rho_threshold*; the surviving edge's weight is ρ.  Both
-        tests are computed in the single pass over the edges that the
-        paper prescribes.
+        An edge survives when χ² > :data:`~repro.stats.CHI2_CRITICAL_95`
+        **and** ρ > *rho_threshold*; the surviving edge's weight is ρ.
+        Both tests are computed in the single pass over the edges that
+        the paper prescribes.
 
-        ``min_support`` drops pairs where either keyword appears in
-        fewer documents than the threshold.  The chi-square 2x2
-        approximation is invalid for tiny expected counts (the classic
-        rule of thumb is >= 5; see Manning & Schütze, the paper's
-        reference [12]): without this filter, every pair of words that
-        co-occur in a single document scores ρ = 1.0 and χ² = n, and
-        each document's unique rare words form a spurious clique.
+        Pairs where either keyword appears in fewer than
+        :data:`MIN_SUPPORT` documents are dropped first.  The
+        chi-square 2x2 approximation is invalid for tiny expected
+        counts (the classic rule of thumb is >= 5; see Manning &
+        Schütze, the paper's reference [12]): without this filter,
+        every pair of words that co-occur in a single document scores
+        ρ = 1.0 and χ² = n, and each document's unique rare words form
+        a spurious clique.
         """
         pruned = Graph()
         n = self.num_documents
@@ -173,9 +157,9 @@ class KeywordGraph:
         for u, v, a_uv in self.edges():
             total += 1
             a_u, a_v = self.count(u), self.count(v)
-            if min(a_u, a_v) < min_support:
+            if min(a_u, a_v) < MIN_SUPPORT:
                 continue
-            if chi_square(a_u, a_v, a_uv, n) <= chi2_critical:
+            if chi_square(a_u, a_v, a_uv, n) <= CHI2_CRITICAL_95:
                 continue
             after_chi2 += 1
             rho = correlation_coefficient(a_u, a_v, a_uv, n)

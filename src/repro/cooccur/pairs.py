@@ -7,11 +7,13 @@ keyword — exactly the scheme of Section 3, where the multiplicity of
 ``(u, u)`` equals ``A(u)``.
 
 Keywords may be raw strings or interned integer ids (see
-:mod:`repro.vocab`); id records are smaller on disk and
-faster-comparing in the external sort, which is why the production
-pipeline interns before emitting.  Pair files are **versioned**: the
-first line stamps the format and the record kind (``str``/``id``), so
-a reader can never silently mis-parse records of the other kind.
+:mod:`repro.vocab`); id records are smaller on disk, which is why
+the production pipeline interns before emitting.  The pipeline
+counts the pair stream in memory; :func:`write_pair_file` persists
+it so benchmarks can measure the pair-file sizes of Table 1.  Pair
+files are **versioned**: the first line stamps the format and the
+record kind (``str``/``id``), so a reader can never silently
+mis-parse records of the other kind.
 """
 
 from __future__ import annotations

@@ -6,22 +6,19 @@ edges and back edges are pushed on a stack, and whenever a child ``w``
 of ``u`` finishes with ``low[w] >= un[u]`` the edges above (and
 including) ``(u, w)`` form one biconnected component.
 
-The paper stresses secondary-storage behaviour: the only in-memory
-data structure is the edge stack, "efficiently paged to secondary
-storage if its size exceeds available resources".  We honour that by
-running the edge stack on :class:`~repro.storage.SpillableStack` with a
-configurable memory budget.  The DFS itself is iterative, so million-
-vertex graphs do not hit Python's recursion limit.
+The paper pages the edge stack to secondary storage when it outgrows
+memory; here it is a plain in-memory list, since a pruned interval
+graph G' is small (see docs/architecture.md).  The DFS itself is
+iterative, so million-vertex graphs do not hit Python's recursion
+limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Set, Tuple
 
 from repro.graph.adjacency import Graph
-from repro.storage.iostats import IOStats
-from repro.storage.spillstack import SpillableStack
 
 Vertex = Any
 Edge = Tuple[Vertex, Vertex]
@@ -53,36 +50,27 @@ class BiconnectedResult:
         return result
 
 
-def biconnected_components(graph: Graph,
-                           stack_budget: int = 0,
-                           spill_dir: Optional[str] = None,
-                           stats: Optional[IOStats] = None
-                           ) -> BiconnectedResult:
-    """Run Algorithm 1 over every connected component of *graph*.
-
-    ``stack_budget`` bounds the in-memory portion of the edge stack
-    (0 means never spill).  Returns a :class:`BiconnectedResult`.
-    """
+def biconnected_components(graph: Graph) -> BiconnectedResult:
+    """Run Algorithm 1 over every connected component of *graph*."""
     result = BiconnectedResult()
     un: Dict[Vertex, int] = {}
     low: Dict[Vertex, int] = {}
     time = 0
+    edge_stack: List[Edge] = []
 
-    with SpillableStack(memory_budget=stack_budget, spill_dir=spill_dir,
-                        stats=stats) as edge_stack:
-        for root in graph.vertices():
-            if root in un:
-                continue
-            if graph.degree(root) == 0:
-                result.isolated_vertices.add(root)
-                continue
-            time = _dfs_from_root(graph, root, un, low, time,
-                                  edge_stack, result)
+    for root in graph.vertices():
+        if root in un:
+            continue
+        if graph.degree(root) == 0:
+            result.isolated_vertices.add(root)
+            continue
+        time = _dfs_from_root(graph, root, un, low, time,
+                              edge_stack, result)
     return result
 
 
 def _dfs_from_root(graph: Graph, root: Vertex, un: Dict, low: Dict,
-                   time: int, edge_stack: SpillableStack,
+                   time: int, edge_stack: List[Edge],
                    result: BiconnectedResult) -> int:
     """Iterative Hopcroft–Tarjan from one root; returns updated clock."""
     time += 1
@@ -103,8 +91,13 @@ def _dfs_from_root(graph: Graph, root: Vertex, un: Dict, low: Dict,
                 continue
             p = dfs_stack[-1][0]
             if low[u] >= un[p]:
-                component = edge_stack.pop_until(
-                    lambda edge: edge == (p, u))
+                # Pop the edges down to and including (p, u).
+                component = []
+                while True:
+                    edge = edge_stack.pop()
+                    component.append(edge)
+                    if edge == (p, u):
+                        break
                 result.components.append(component)
                 is_root = len(dfs_stack) == 1
                 if not is_root:
@@ -116,7 +109,7 @@ def _dfs_from_root(graph: Graph, root: Vertex, un: Dict, low: Dict,
             continue
         if w not in un:
             # Tree edge.
-            edge_stack.push((u, w))
+            edge_stack.append((u, w))
             time += 1
             un[w] = low[w] = time
             if u == root:
@@ -124,7 +117,7 @@ def _dfs_from_root(graph: Graph, root: Vertex, un: Dict, low: Dict,
             dfs_stack.append((w, u, graph.neighbors(w)))
         elif un[w] < un[u]:
             # Back edge to a proper ancestor.
-            edge_stack.push((u, w))
+            edge_stack.append((u, w))
             low[u] = min(low[u], un[w])
         # else: w is an already-finished descendant; the edge was
         # pushed when w scanned u, so nothing to do.

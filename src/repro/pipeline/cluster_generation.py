@@ -1,11 +1,11 @@
 """Section 3 end to end: documents of one interval -> keyword clusters.
 
 The driver performs the paper's full cluster-generation procedure:
-read the interval's documents, build the co-occurrence triplets
-(optionally through the external-memory sort), run the chi-square and
-correlation-coefficient pruning, and report the biconnected components
-of the pruned graph as keyword clusters.  A report object records the
-stage-by-stage sizes the Figure 6 experiment plots.
+read the interval's documents, count the keyword co-occurrences in
+memory, run the chi-square and correlation-coefficient pruning, and
+report the biconnected components of the pruned graph as keyword
+clusters.  A report object records the stage-by-stage sizes the
+Figure 6 experiment plots.
 
 Two entry points cover the two calling shapes:
 
@@ -30,8 +30,6 @@ from repro.graph.clusters import (
     compact_clusters,
     extract_clusters,
 )
-from repro.stats import CHI2_CRITICAL_95
-from repro.storage.iostats import IOStats
 from repro.text.documents import Document, IntervalCorpus
 from repro.vocab import Vocabulary
 
@@ -88,13 +86,7 @@ class ClusterGenerationReport:
 def generate_interval_clusters_task(
         documents: Sequence[Document], interval: int,
         rho_threshold: float = RHO_DEFAULT,
-        chi2_critical: float = CHI2_CRITICAL_95,
-        min_edges: int = 2,
-        include_bridge_trees: bool = False,
-        external: bool = False,
-        directory: Optional[str] = None,
-        stack_budget: int = 0,
-        stats: Optional[IOStats] = None
+        min_edges: int = 2
 ) -> Tuple[List[KeywordCluster], ClusterGenerationReport]:
     """The full Section 3 procedure as a pure, picklable unit of work.
 
@@ -110,9 +102,7 @@ def generate_interval_clusters_task(
     :class:`~repro.vocab.FrozenVocabulary` — a pickled result ships
     each surviving keyword string once, not once per cluster.
     Drivers rebind the clusters into their corpus vocabulary
-    (:meth:`~repro.graph.clusters.KeywordCluster.rebind`).  ``stats``
-    is only meaningful in-process (a worker's copy would mutate in
-    vain).
+    (:meth:`~repro.graph.clusters.KeywordCluster.rebind`).
     """
     report = ClusterGenerationReport(interval=interval)
     if not documents:
@@ -122,21 +112,16 @@ def generate_interval_clusters_task(
     vocab = Vocabulary()
     keyword_sets = vocab.intern_sets(
         doc.keywords() for doc in documents)
-    graph = KeywordGraph.from_keyword_sets(
-        keyword_sets, external=external, directory=directory, stats=stats)
+    graph = KeywordGraph.from_keyword_sets(keyword_sets)
     counted = time.perf_counter()
 
     prune_report = PruneReport()
     pruned = graph.prune(rho_threshold=rho_threshold,
-                         chi2_critical=chi2_critical,
                          report=prune_report)
     pruned_at = time.perf_counter()
 
     clusters = compact_clusters(extract_clusters(
-        pruned, interval=interval, min_edges=min_edges,
-        include_bridge_trees=include_bridge_trees,
-        stack_budget=stack_budget,
-        spill_dir=directory, stats=stats, vocab=vocab))
+        pruned, interval=interval, min_edges=min_edges, vocab=vocab))
     finished = time.perf_counter()
 
     report.num_documents = len(documents)
@@ -153,13 +138,7 @@ def generate_interval_clusters_task(
 
 def generate_interval_clusters(corpus: IntervalCorpus, interval: int,
                                rho_threshold: float = RHO_DEFAULT,
-                               chi2_critical: float = CHI2_CRITICAL_95,
                                min_edges: int = 2,
-                               include_bridge_trees: bool = False,
-                               external: bool = False,
-                               directory: Optional[str] = None,
-                               stack_budget: int = 0,
-                               stats: Optional[IOStats] = None,
                                report: Optional[ClusterGenerationReport]
                                = None) -> List[KeywordCluster]:
     """Run the full Section 3 procedure for one temporal interval."""
@@ -168,9 +147,7 @@ def generate_interval_clusters(corpus: IntervalCorpus, interval: int,
         return []
     clusters, task_report = generate_interval_clusters_task(
         documents, interval, rho_threshold=rho_threshold,
-        chi2_critical=chi2_critical, min_edges=min_edges,
-        include_bridge_trees=include_bridge_trees, external=external,
-        directory=directory, stack_budget=stack_budget, stats=stats)
+        min_edges=min_edges)
     if report is not None:
         for spec in fields(ClusterGenerationReport):
             setattr(report, spec.name, getattr(task_report, spec.name))

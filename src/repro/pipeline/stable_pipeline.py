@@ -72,8 +72,6 @@ def _generation_stage(item: Tuple[int, List[Document]],
 def generate_corpus_clusters(corpus: IntervalCorpus,
                              rho_threshold: float = RHO_DEFAULT,
                              min_edges: int = 2,
-                             external: bool = False,
-                             directory: Optional[str] = None,
                              executor: Union[int, Executor, None] = None,
                              vocab: Optional[Vocabulary] = None
                              ) -> Tuple[List[List[KeywordCluster]],
@@ -97,8 +95,7 @@ def generate_corpus_clusters(corpus: IntervalCorpus,
     items = [(interval, corpus.documents(interval))
              for interval in intervals]
     stage = partial(_generation_stage, rho_threshold=rho_threshold,
-                    min_edges=min_edges, external=external,
-                    directory=directory)
+                    min_edges=min_edges)
     with open_executor(executor) as pool:
         outputs = pool.map_stages(stage, items)
     if vocab is None:
@@ -116,8 +113,6 @@ def find_stable_clusters(corpus: IntervalCorpus,
                          affinity: Union[str, Callable] = "jaccard",
                          theta: float = THETA_DEFAULT,
                          min_edges: int = 2,
-                         external: bool = False,
-                         directory: Optional[str] = None,
                          diverse: bool = False,
                          diverse_policy: str = "prefix-suffix",
                          solver: str = "auto",
@@ -181,8 +176,7 @@ def find_stable_clusters(corpus: IntervalCorpus,
     vocab = Vocabulary()
     interval_clusters, reports = generate_corpus_clusters(
         corpus, rho_threshold=rho_threshold, min_edges=min_edges,
-        external=external, directory=directory, executor=executor,
-        vocab=vocab)
+        executor=executor, vocab=vocab)
 
     graph = build_cluster_graph(interval_clusters, affinity=affinity,
                                 theta=theta, gap=gap)

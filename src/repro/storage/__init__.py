@@ -1,23 +1,17 @@
 """Secondary-storage substrate.
 
-The paper's algorithms are designed to be "efficiently realizable in
-secondary storage": the cluster-generation stack may be paged out, the
-BFS keeps a sliding window of intervals in memory, and the DFS stores
-per-node annotations on disk.  This package provides the storage
-primitives those implementations use:
+The paper's Section-4 algorithms are designed to be "efficiently
+realizable in secondary storage": the BFS keeps a sliding window of
+intervals in memory, and the DFS stores per-node annotations on disk.
+This package provides the storage primitives those implementations
+use:
 
 * :class:`~repro.storage.iostats.IOStats` — read/write/seek counters so
   benchmarks can report I/O effort independently of wall-clock time.
-* :class:`~repro.storage.pager.PagedFile` and
-  :class:`~repro.storage.pager.BufferPool` — a fixed-size-page file
-  with an LRU buffer pool.
 * :class:`~repro.storage.diskdict.DiskDict` — a disk-backed record
   store mapping keys to serialized values (used for per-node heaps and
   ``maxweight``/``bestpaths`` annotations), written by default with
   the compact varint codec of :mod:`repro.storage.codec`.
-* :class:`~repro.storage.spillstack.SpillableStack` — a stack whose
-  bottom spills to disk beyond a memory budget (Algorithm 1's edge
-  stack "can be efficiently paged to secondary storage").
 * :class:`~repro.storage.backends.StateStore` — the pluggable backend
   protocol the search engines store node annotations through, with
   :class:`~repro.storage.backends.MemoryStore` and the
@@ -49,7 +43,6 @@ from repro.storage.codec import (
 from repro.storage.diskdict import DiskDict
 from repro.storage.iostats import IOStats
 from repro.storage.lru import LRUCache
-from repro.storage.pager import BufferPool, Page, PagedFile
 from repro.storage.recordlog import (
     RecordLogCorruptError,
     append_record,
@@ -58,11 +51,9 @@ from repro.storage.recordlog import (
     read_records,
 )
 from repro.storage.rwlock import RWLock
-from repro.storage.spillstack import SpillableStack
 
 __all__ = [
     "BACKEND_SPECS",
-    "BufferPool",
     "DiskDict",
     "IOStats",
     "LRUCache",
@@ -76,10 +67,7 @@ __all__ = [
     "iter_records",
     "read_records",
     "MemoryStore",
-    "Page",
-    "PagedFile",
     "ShardedStore",
-    "SpillableStack",
     "StateStore",
     "open_store",
 ]

@@ -1,21 +1,17 @@
 """Unit, integration and property tests for co-occurrence counting."""
 
-import tempfile
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cooccur import (
     KeywordGraph,
-    aggregate_sorted_pairs,
-    count_pairs_external,
-    count_pairs_in_memory,
     emit_pairs,
     write_pair_file,
 )
 from repro.cooccur.pairs import read_pair_file
 from repro.cooccur.keyword_graph import PruneReport
+from repro.vocab import Vocabulary
 
 DOCS = [
     frozenset({"saddam", "hussein", "trial"}),
@@ -67,30 +63,32 @@ class TestPairFile:
         assert list(read_pair_file(path)) == list(emit_pairs(big))
 
 
-class TestAggregation:
-    def test_sorted_aggregation(self):
-        pairs = sorted(emit_pairs(DOCS))
-        triplets = {(u, v): c for u, v, c in aggregate_sorted_pairs(pairs)}
-        assert triplets[("hussein", "saddam")] == 2
-        assert triplets[("saddam", "trial")] == 2
-        assert triplets[("saddam", "saddam")] == 3
-        assert triplets[("beckham", "soccer")] == 1
+class TestCountingOracle:
+    """``from_keyword_sets`` against counts taken straight from the
+    documents, for string tokens and interned ids alike."""
 
-    def test_external_matches_in_memory(self, tmp_path):
-        external = {(u, v): c for u, v, c in count_pairs_external(
-            DOCS, max_records=5, directory=str(tmp_path))}
-        in_memory = count_pairs_in_memory(DOCS)
-        assert external == in_memory
+    @staticmethod
+    def _assert_counts_match(docs):
+        graph = KeywordGraph.from_keyword_sets(docs)
+        keywords = set().union(*docs)
+        for u in keywords:
+            assert graph.count(u) == sum(u in d for d in docs)
+        for u in keywords:
+            for v in keywords:
+                assert graph.pair_count(u, v) == \
+                    sum(u in d and v in d for d in docs)
+        distinct_pairs = {(u, v) for d in docs for u in d for v in d
+                          if u < v}
+        assert graph.num_edges == len(distinct_pairs)
+        assert graph.num_keywords == len(keywords)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(st.lists(
         st.frozensets(st.sampled_from("abcdefgh"), max_size=6),
-        max_size=12))
-    def test_external_equals_memory_property(self, docs):
-        with tempfile.TemporaryDirectory() as tmp:
-            external = {(u, v): c for u, v, c in count_pairs_external(
-                docs, max_records=3, directory=tmp)}
-        assert external == count_pairs_in_memory(docs)
+        min_size=1, max_size=12))
+    def test_counts_match_documents(self, docs):
+        self._assert_counts_match(docs)
+        self._assert_counts_match(Vocabulary().intern_sets(docs))
 
 
 class TestKeywordGraph:
@@ -103,15 +101,6 @@ class TestKeywordGraph:
         assert graph.pair_count("hussein", "saddam") == 2
         assert graph.pair_count("saddam", "saddam") == 3
         assert graph.pair_count("saddam", "beckham") == 0
-
-    def test_external_build_matches_memory_build(self, tmp_path):
-        mem = KeywordGraph.from_keyword_sets(DOCS)
-        ext = KeywordGraph.from_keyword_sets(
-            DOCS, external=True, directory=str(tmp_path), max_records=4)
-        assert ext.num_documents == mem.num_documents
-        assert sorted(ext.edges()) == sorted(mem.edges())
-        assert {k: ext.count(k) for k in ext.keywords()} == \
-               {k: mem.count(k) for k in mem.keywords()}
 
     def test_empty_collection_rejected(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from repro.graph import (
     biconnected_components,
     connected_components,
 )
-from repro.storage import IOStats
 
 
 def _to_networkx(graph: Graph) -> nx.Graph:
@@ -159,19 +158,7 @@ class TestAgainstNetworkx:
         self._assert_matches(graph)
 
 
-class TestSpillingStack:
-    def test_results_identical_with_tiny_budget(self, tmp_path):
-        g = Graph.from_edges([(i, (i + 1) % 50) for i in range(50)]
-                             + [(i, i + 2) for i in range(0, 48, 2)])
-        stats = IOStats()
-        unbounded = biconnected_components(g)
-        bounded = biconnected_components(
-            g, stack_budget=4, spill_dir=str(tmp_path), stats=stats)
-        assert _normalize(unbounded.components) == \
-            _normalize(bounded.components)
-        assert bounded.articulation_points == unbounded.articulation_points
-        assert stats.seq_writes > 0  # it really spilled
-
+class TestEdgeStack:
     def test_deep_graph_no_recursion_error(self):
         # 30k-vertex path: recursive implementations blow the stack.
         g = Graph.from_edges([(i, i + 1) for i in range(30_000)])

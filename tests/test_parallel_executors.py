@@ -189,7 +189,7 @@ class TestTaskPickling:
 
     def test_generation_stage_partial_pickles(self):
         stage = partial(_generation_stage, rho_threshold=0.2,
-                        min_edges=2, external=False, directory=None)
+                        min_edges=2)
         revived = _roundtrip(stage)
         clusters, report = revived((1, []))
         assert clusters == [] and report.interval == 1

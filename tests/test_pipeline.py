@@ -68,17 +68,6 @@ class TestClusterGeneration:
             >= report.edges_after_rho
         assert report.seconds_total > 0
 
-    def test_external_counting_matches_memory(self, tmp_path):
-        schedule = EventSchedule().add(
-            Event.burst("beckham", BECKHAM, 0, 50))
-        corpus = make_corpus(schedule, 1, background=200,
-                             vocab_size=1500)
-        mem = generate_interval_clusters(corpus, 0)
-        ext = generate_interval_clusters(corpus, 0, external=True,
-                                         directory=str(tmp_path))
-        # frozensets only partially order; compare as sets.
-        assert {c.keywords for c in mem} == {c.keywords for c in ext}
-
     def test_empty_interval_returns_no_clusters(self):
         corpus = make_corpus(EventSchedule(), 1, background=50,
                              vocab_size=500)
